@@ -1,8 +1,8 @@
 """Digest of each workload's simulated statistics, written anew.
 
-    python3 perfbench/digest.py [--seed 1]
+    python3 perfbench/digest.py
 
-Runs every workload once at full size (untimed) and rewrites
+Runs every workload once at full size with seed 1 (untimed) and rewrites
 ``perfbench/digest.json``: for each workload, the SHA-256 of its
 ClusterReport JSON, its operation counts and its registry counts.  It then
 prints which workloads drifted from the file's previous content.  The
@@ -12,7 +12,6 @@ leaves every digest as it was; drift is reported here, not gated.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -22,16 +21,13 @@ HERE = Path(__file__).resolve().parent
 OUT = HERE / "digest.json"
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--seed", type=int, default=1)
-    args = p.parse_args(argv)
+def main() -> int:
     sys.path.insert(0, str(HERE.parent / "src"))
     from workloads import WORKLOADS, run_once
 
-    digest = {"seed": args.seed, "workloads": {}}
+    digest = {"seed": 1, "workloads": {}}
     for name in WORKLOADS:
-        out = run_once(name, args.seed)
+        out = run_once(name, 1)
         if out.errors:
             print(f"{name}: outputs failed their checks: {out.errors[:3]}")
             return 1
@@ -46,7 +42,7 @@ def main(argv=None) -> int:
     OUT.write_text(json.dumps(digest, indent=2, sort_keys=True) + "\n")
     for name, now in digest["workloads"].items():
         before = previous["workloads"].get(name)
-        if previous.get("seed") != args.seed or before is None:
+        if before is None:
             print(f"{name}: recorded {now['report_sha256'][:16]}")
         elif before == now:
             print(f"{name}: unchanged")

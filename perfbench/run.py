@@ -2,18 +2,20 @@
 
     python3 perfbench/run.py --workload churn-1k --seed 1 --seconds 30 --trace 0
 
-Run from the root of a source checkout; nothing needs installing.  The
-run repeats whole rounds of the workload until ``--seconds`` is used up.
-Each round runs in a child forked from this process, so its peak RSS
-holds nothing left over from an earlier round, and no module-level state
-(such as request-id counters) carries from one round into the next.
+Run from the root of a source checkout; nothing needs installing.  A
+run makes a fixed number of whole rounds of the workload, about as many
+as fit in ``--seconds`` on the reference machine (``Workload.round_s``),
+and reports medians over them.  Each round runs in a child forked from
+this process, so its peak RSS holds nothing left over from an earlier
+round, and no module-level state (such as request-id counters) carries
+from one round into the next.
 
 ``--trace 0`` prints the end-to-end metrics, from untraced rounds only.
 ``--trace 1`` alternates untraced and traced rounds and prints the
 per-layer metrics: host self time and calls from spans that
 ``tracing.py`` puts around each layer's entry points, and counts from the
 program's own metrics registry.  ``trace.overhead_s`` is the traced
-``run_s`` minus the untraced one.
+median ``run_s`` minus the untraced one.
 
 The last line of standard output is
 ``{"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}``.
@@ -43,6 +45,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 WORKLOAD_NAMES = ("churn-1k", "rainfs-mix", "flood-batch")
+
+#: Set-up and run are timed in CPU seconds of the round's process (user
+#: plus system).  The simulator is single-threaded, so this is the host
+#: work of the round, without the time the process spent descheduled
+#: while other tenants of a shared machine ran.
+CLOCK = time.process_time
 
 END_TO_END = {"setup_s": "s", "run_s": "s", "ops_per_s": "1/s", "peak_rss_mb": "MiB"}
 
@@ -131,7 +139,7 @@ def _parse(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     p.add_argument("--seed", type=int, required=True, help="generates the workload's inputs")
-    p.add_argument("--seconds", type=float, required=True, help="how long to repeat rounds")
+    p.add_argument("--seconds", type=float, required=True, help="sets the number of rounds")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return p.parse_args(argv)
 
@@ -149,17 +157,17 @@ def _round(wl, inp, traced: bool) -> dict:
     for _ in range(wl.setup_repeats):
         system = None
         gc.collect()
-        t0 = time.perf_counter()
+        t0 = CLOCK()
         system = wl.build(inp)
-        setups.append(time.perf_counter() - t0)
+        setups.append(CLOCK() - t0)
     layers: dict = {}
     if tracer is not None:
         layers["setup.topology_s"] = tracer.self_s["setup.topology"] / wl.setup_repeats
         tracer.reset()
     gc.collect()
-    marks = [time.perf_counter()]
-    out = wl.run(system, lambda: marks.append(time.perf_counter()))
-    marks.append(time.perf_counter())
+    t0 = CLOCK()
+    out = wl.run(system)
+    run_s = CLOCK() - t0
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if tracer is not None:
         layers["self_s"] = dict(tracer.self_s)
@@ -168,8 +176,7 @@ def _round(wl, inp, traced: bool) -> dict:
     return {
         "traced": traced,
         "setup_s": setups,
-        "run_s": marks[-1] - marks[0],
-        "lap_s": [b - a for a, b in zip(marks, marks[1:])],
+        "run_s": run_s,
         "peak_rss_mb": peak_kib / 1024.0,
         "attempted": out.attempted,
         "failed": out.failed,
@@ -214,37 +221,31 @@ def _in_child(fn, *args) -> dict:
     return msg["ok"]
 
 
-def composite_run_s(rounds: list[dict]) -> float:
-    """The least host time seen for each lap, summed over the laps.
-
-    Every round runs the identical deterministic work between the same
-    lap marks.  The machine is shared, and other load only ever adds host
-    time, in phases of seconds to tens of seconds; the fastest sample of
-    each lap is the best estimate of that stretch's own cost, and short
-    laps make it likely that every lap was sampled in a quiet phase.
-    """
-    laps = [r["lap_s"] for r in rounds]
-    return sum(min(col) for col in zip(*laps))
+def _median_round(rounds: list[dict]) -> dict:
+    """The round whose ``run_s`` is the median (the lower one of two)."""
+    return sorted(rounds, key=lambda r: r["run_s"])[(len(rounds) - 1) // 2]
 
 
 def end_to_end(rounds: list[dict]) -> dict:
+    # Medians over rounds: on a shared machine other tenants slow this
+    # process down in bursts, and the median ignores the rounds they hit
+    # hardest, where a minimum would chase the rare quiet moments.
     plain = [r for r in rounds if not r["traced"]]
-    run_s = composite_run_s(plain)
+    run_s = statistics.median(r["run_s"] for r in plain)
     values = {
-        # the quickest of all the run's builds, for the reason above
-        "setup_s": min(s for r in plain for s in r["setup_s"]),
+        "setup_s": statistics.median(s for r in plain for s in r["setup_s"]),
         "run_s": run_s,
         "ops_per_s": plain[0]["completed"] / run_s,
-        "peak_rss_mb": statistics.median([r["peak_rss_mb"] for r in plain]),
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in plain),
     }
     return {k: {"value": v, "unit": END_TO_END[k]} for k, v in values.items()}
 
 
 def per_layer(rounds: list[dict]) -> dict:
-    # Times come from the fastest traced round (self times) and the fastest
-    # untraced round, as for the end-to-end metrics; counts repeat exactly.
-    plain = min((r for r in rounds if not r["traced"]), key=lambda r: r["run_s"])
-    traced = min((r for r in rounds if r["traced"]), key=lambda r: r["run_s"])
+    # Times come from the median traced and untraced rounds; counts repeat
+    # exactly in every round.
+    plain = _median_round([r for r in rounds if not r["traced"]])
+    traced = _median_round([r for r in rounds if r["traced"]])
     counts = traced["counts"]
     self_s = traced["layers"]["self_s"]
     calls = traced["layers"]["calls"]
@@ -257,9 +258,7 @@ def per_layer(rounds: list[dict]) -> dict:
     values["obs.report.bytes"] = float(plain["report_bytes"])
     values["setup.topology_s"] = traced["layers"]["setup.topology_s"]
     values["setup.cluster_s"] = statistics.median(traced["setup_s"]) - values["setup.topology_s"]
-    values["trace.overhead_s"] = composite_run_s(
-        [r for r in rounds if r["traced"]]
-    ) - composite_run_s([r for r in rounds if not r["traced"]])
+    values["trace.overhead_s"] = traced["run_s"] - plain["run_s"]
     return {k: {"value": values[k], "unit": unit} for k, unit in PER_LAYER.items()}
 
 
@@ -274,22 +273,15 @@ def main(argv=None) -> int:
     wl = WORKLOADS[args.workload]
     inp = wl.inputs(args.seed, False)
     # An untraced round, or an untraced and a traced one, is the unit the
-    # run repeats; units are whole so every run attempts the same mix.
+    # run repeats; units are whole so every run attempts the same mix, and
+    # their number depends on --seconds only.
     unit = (False, True) if args.trace else (False,)
-    rounds: list[dict] = []
-    unit_s: list[float] = []
-    start = time.perf_counter()
-    while True:
-        t0 = time.perf_counter()
-        for traced in unit:
-            rounds.append(_in_child(_round, wl, inp, traced))
-        unit_s.append(time.perf_counter() - t0)
-        if time.perf_counter() - start + statistics.median(unit_s) > args.seconds:
-            break
+    units = max(1, round(args.seconds / (wl.round_s * len(unit))))
+    rounds = [_in_child(_round, wl, inp, traced) for _ in range(units) for traced in unit]
     for note in rounds[0]["notes"]:
         sys.stderr.write(note + "\n")
     errors = [e for r in rounds for e in r["errors"]]
-    if len({r["digest"] for r in rounds}) != 1 or len({len(r["lap_s"]) for r in rounds}) != 1:
+    if len({r["digest"] for r in rounds}) != 1:
         errors.append("rounds of one invocation produced different simulated statistics")
     for e in errors[:20]:
         sys.stderr.write(f"check failed: {e}\n")

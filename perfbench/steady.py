@@ -2,8 +2,9 @@
 
     python3 perfbench/steady.py --workload rainfs-mix --runs 10
 
-Runs ``run.py`` once per seed (``--first-seed``, ``--first-seed + 1``, ...),
-each in a fresh process, one after another, and prints for every
+Runs ``run.py`` once per seed (1, 2, ..., ``--runs``) for the
+``run_seconds`` of ``BENCHMARK.json``, each in a fresh process, one after
+another, and prints for every
 end-to-end metric the median, the first and third quartiles as
 ``statistics.quantiles(values, n=4)`` gives them, and the spread
 ``(q3 - q1) / median``, plus the share of failed operations of each run.
@@ -27,15 +28,13 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seconds", type=int, help="default: run_seconds of BENCHMARK.json")
-    p.add_argument("--first-seed", type=int, default=1)
     args = p.parse_args(argv)
     bench = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     values: dict[str, list[float]] = {name: [] for name in bounds}
     shares = []
-    for seed in range(args.first_seed, args.first_seed + args.runs):
+    for seed in range(1, args.runs + 1):
         cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
         proc = subprocess.run(cmd, capture_output=True, text=True, check=True)

@@ -7,11 +7,9 @@ Each workload splits into three phases, timed apart by ``run.py``:
   these generated inputs, never the seed.
 - ``build(inp)`` goes from the inputs to a built cluster or network with
   its fault script installed, before the first simulated event (``setup_s``).
-- ``run(system, lap)`` runs from the first simulated event until the last
+- ``run(system)`` runs from the first simulated event until the last
   operation has finished and the workload's ``ClusterReport`` has been
-  produced (``run_s``).  It calls ``lap()`` at fixed points of the run
-  (simulated-time or operation-count boundaries), so ``run.py`` can time
-  the same stretch of work in every round; see ``run.py`` for why.
+  produced (``run_s``).
 - ``check(system, outcome)`` then checks the outputs against values
   computed apart from the program, or against properties of the method.
 
@@ -61,12 +59,17 @@ class Workload:
     name: str
     inputs: Callable[[int, bool], Any]
     build: Callable[[Any], Any]
-    run: Callable[[Any, Callable[[], None]], Outcome]
+    run: Callable[[Any], Outcome]
     #: appends to ``Outcome.errors``; runs after the timed part
     check: Callable[[Any, Outcome], None]
-    #: builds per round; set-up time is the median over all of them, so
-    #: cheap set-ups are repeated until their median is steady
+    #: builds per round; ``setup_s`` is the median over all the builds of
+    #: a run, so a cheap set-up is built many times
     setup_repeats: int
+    #: host seconds one untraced round (fork, builds, run, report, checks)
+    #: took on the reference machine; a run of ``--seconds S`` makes
+    #: ``round(S / round_s)`` rounds (at least one), however fast the code
+    #: or the machine is, so every run takes its medians over as many rounds
+    round_s: float
 
 
 def _produce_report(make: Callable[[], ClusterReport]) -> tuple[str, float]:
@@ -167,18 +170,10 @@ def churn_build(inp: ChurnInputs) -> tuple[ChurnInputs, ShardedRainCluster]:
     return inp, cluster
 
 
-_CHURN_LAP_S = 0.025  # simulated seconds between laps
-
-
-def churn_run(system: tuple[ChurnInputs, ShardedRainCluster], lap) -> Outcome:
+def churn_run(system: tuple[ChurnInputs, ShardedRainCluster]) -> Outcome:
     inp, cluster = system
     topo_before = cluster.replicas[0].net.topo_version
-    laps = math.ceil(inp.horizon / _CHURN_LAP_S - 1e-9)
-    for k in range(1, laps + 1):
-        # bounded runs compose: any partition of the horizon runs the
-        # identical schedule (repro.sim.shard)
-        cluster.run(min(k * _CHURN_LAP_S, inp.horizon))
-        lap()
+    cluster.run(inp.horizon)
     report, report_s = _produce_report(lambda: cluster.metrics(scenario="churn-1k"))
     accepted = sum(m.tokens_seen for rep in cluster.replicas for m in rep.members.values())
     counts = report_counts(report)
@@ -392,14 +387,10 @@ def _fs_call(node: RainFsNode, kind: str, path: str, arg):
     return (yield from node.delete(path))
 
 
-_FS_LAP_OPS = 5  # operations between laps
-
-
-def fs_run(system, lap) -> Outcome:
+def fs_run(system) -> Outcome:
     inp, sim, cluster, fs = system
     topo_before = cluster.network.topo_version
     sim.run(until=_FS_WARMUP_S)
-    lap()
     errors: list[str] = []
     failed = [0]
     live = list(range(_FS_NODES))
@@ -422,8 +413,6 @@ def fs_run(system, lap) -> Outcome:
                 continue
             if got != expected:
                 errors.append(f"op {j} {kind} {path} returned a wrong result")
-            if (j + 1) % _FS_LAP_OPS == 0:
-                lap()
 
     sim.run_process(client(), until=sim.now + 100_000.0)
     report, report_s = _produce_report(lambda: cluster.metrics(scenario="rainfs-mix"))
@@ -556,29 +545,23 @@ def _is_hop_batch_fault(exc: SimulationError) -> bool:
     return "_hop_batch" in frames and "in the past" in str(exc)
 
 
-_FLOOD_LAP_S = 0.25  # simulated seconds between laps
-
-
-def flood_run(system, lap) -> Outcome:
+def flood_run(system) -> Outcome:
     inp, sim, net, sink = system
     topo_before = net.topo_version
     faults: list[float] = []
-    # laps while sending, then one more for the drain
-    laps = math.ceil(inp.send_until / _FLOOD_LAP_S - 1e-9)
-    for until in [k * _FLOOD_LAP_S for k in range(1, laps + 1)] + [None]:
-        while True:
-            try:
-                sim.run(until=until)
-                break
-            except SimulationError as exc:
-                # Network._hop_batch schedules a window's next hop at its
-                # last surviving packet's arrival; when the tail is lost on
-                # a hop that time can precede sim.now, the kernel refuses
-                # it, and the window's survivors vanish.  Resume and count.
-                if not _is_hop_batch_fault(exc):
-                    raise
-                faults.append(sim.now)
-        lap()
+    # send, then drain until nothing is left in flight
+    while True:
+        try:
+            sim.run()
+            break
+        except SimulationError as exc:
+            # Network._hop_batch schedules a window's next hop at its
+            # last surviving packet's arrival; when the tail is lost on
+            # a hop that time can precede sim.now, the kernel refuses
+            # it, and the window's survivors vanish.  Resume and count.
+            if not _is_hop_batch_fault(exc):
+                raise
+            faults.append(sim.now)
     report, report_s = _produce_report(lambda: ClusterReport.capture(sim, scenario="flood-batch"))
     lost = [b.n_alive for b in sink.inflight.values() if b.n_alive]
     counts = report_counts(report)
@@ -625,9 +608,9 @@ def flood_check(system, out: Outcome) -> None:
 WORKLOADS: dict[str, Workload] = {
     w.name: w
     for w in (
-        Workload("churn-1k", churn_inputs, churn_build, churn_run, churn_check, 3),
-        Workload("rainfs-mix", fs_inputs, fs_build, fs_run, fs_check, 10),
-        Workload("flood-batch", flood_inputs, flood_build, flood_run, flood_check, 50),
+        Workload("churn-1k", churn_inputs, churn_build, churn_run, churn_check, 1, 9.0),
+        Workload("rainfs-mix", fs_inputs, fs_build, fs_run, fs_check, 10, 3.0),
+        Workload("flood-batch", flood_inputs, flood_build, flood_run, flood_check, 50, 3.75),
     )
 }
 
@@ -636,6 +619,6 @@ def run_once(name: str, seed: int, small: bool = False) -> Outcome:
     """Inputs, set-up, run and checks of one workload, untimed."""
     wl = WORKLOADS[name]
     system = wl.build(wl.inputs(seed, small))
-    out = wl.run(system, lambda: None)
+    out = wl.run(system)
     wl.check(system, out)
     return out
